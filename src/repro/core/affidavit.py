@@ -1,39 +1,46 @@
 """Affidavit — Algorithm 1 of the paper, orchestrating the Spark substrate.
 
 Best-first search over partial attribute-function assignments. The driver
-holds only the bounded frontier (queue width rho); every data-proportional
-step runs as a Spark DataFrame computation:
+holds the bounded frontier (queue width rho) and, for each polled state,
+one collected block histogram: counts per (side, block, undecided
+attribute, value), made by a single Spark aggregation
+(``blocking.block_histogram``). Everything the poll needs follows from it
+in pandas:
 
-* state evaluation    -> blocking.block_overlap / evaluate_pairs
 * attribute ordering  -> blocking.indeterminacy
 * example sampling    -> candidates.sample_examples
-* greedy value maps   -> alignment.sample_random_alignment + greedy_map
+* greedy value maps   -> alignment.greedy_maps_bulk
+* candidate scoring   -> blocking.evaluate_pairs
+
+Finalize collects one histogram per MAP_MARKER attribute (alignment.
+greedy_map) and takes the end state's M(H) from the last one; the start
+states are costed from a histogram too. Two steps stay record-level Spark
+computations:
+
 * Hs initialization   -> overlap_init.overlap_start_state
-* final conversion    -> explanation.explanation_from_functions (Prop. 3.6)
+* final conversion    -> explanation.explanation_from_state (Prop. 3.6)
 """
 from __future__ import annotations
 
 import time
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterable
 
-from pyspark.sql import DataFrame
-
-from . import blocking
-from .alignment import greedy_map, greedy_maps_bulk, sample_random_alignment
-from .blocking import block_overlap, evaluate_pairs, indeterminacy, with_block_key
-from .candidates import (
-    induce_attr_candidates,
-    sample_examples,
-    sampled_block_filter,
-    scaled_support,
+from .alignment import greedy_map, greedy_maps_bulk
+from .blocking import (
+    Histogram,
+    block_histogram,
+    evaluate_pairs,
+    indeterminacy,
+    with_block_key,
 )
+from .candidates import ExampleSample, induce_attr_candidates, sample_examples, scaled_support
 from .explanation import Explanation, explanation_from_state, trivial_explanation
 from .functions import Identity, TransformFunction
 from .overlap_init import overlap_start_state
 from .queue import BoundedLevelQueue
 from .state import MAP_MARKER, UNDECIDED, Problem, SearchState, state_cost
-from .stats import cochran_sample_size, sample_size_for_support
+from .stats import sample_size_for_support
 
 __all__ = ["AffidavitConfig", "SearchDiagnostics", "run_affidavit"]
 
@@ -60,7 +67,6 @@ class AffidavitConfig:
     max_block_rows: int = 50
     max_candidates: int = 24
     base_support: int = 5
-    use_sampled_ranking: bool = False
 
 
 @dataclass
@@ -72,6 +78,7 @@ class SearchDiagnostics:
     end_state: SearchState | None = None
     start_states: int = 0
     finalized: int = 0
+    max_hist_rows: int = 0  # largest block histogram collected to the driver
 
 
 class _Search:
@@ -81,7 +88,6 @@ class _Search:
         self.k = sample_size_for_support(
             config.theta, config.confidence, config.base_support
         )
-        self.k_prime = cochran_sample_size(config.theta)
         self.diag = SearchDiagnostics()
         self._seed_ctr = 0
 
@@ -91,6 +97,18 @@ class _Search:
 
     def _cost(self, cf: int, overlap: int) -> float:
         return state_cost(self.p, cf, overlap, self.cfg.alpha)
+
+    def _histogram(
+        self, state: SearchState, indices: Iterable[int]
+    ) -> tuple[Histogram, Histogram]:
+        """Block histogram of ``state`` over the attributes at ``indices``."""
+        attrs = self.p.attrs
+        s_keyed = with_block_key(self.p.source, state, attrs, is_source=True)
+        t_keyed = with_block_key(self.p.target, state, attrs, is_source=False)
+        src, tgt = block_histogram(s_keyed, t_keyed, [attrs[i] for i in indices])
+        rows = sum(len(h) for side in (src, tgt) for h in side.values())
+        self.diag.max_hist_rows = max(self.diag.max_hist_rows, rows)
+        return src, tgt
 
     # ------------------------------------------------------------------
     # Initialization (§4.2)
@@ -102,10 +120,8 @@ class _Search:
             m = min(self.p.n_source, self.p.n_target)  # single block
             return [empty.with_cost(self._cost(0, m), m)]
         if self.cfg.start == "id":
-            s_keyed = with_block_key(self.p.source, empty, self.p.attrs, is_source=True)
-            t_keyed = with_block_key(self.p.target, empty, self.p.attrs, is_source=False)
             pairs = [(i, Identity()) for i in range(d)]
-            overlaps = evaluate_pairs(self.p, s_keyed, t_keyed, pairs)
+            overlaps = evaluate_pairs(self.p, *self._histogram(empty, range(d)), pairs)
             states = []
             for (i, f), m in zip(pairs, overlaps):
                 st = empty.extend(i, f)
@@ -116,7 +132,10 @@ class _Search:
             if not st.decided():  # nothing survived the threshold
                 m = min(self.p.n_source, self.p.n_target)
                 return [empty.with_cost(self._cost(0, m), m)]
-            m = blocking.state_overlap(self.p, st)
+            # M(Hs) as the extension of Hs-without-its-last-id by that id
+            j, f = st.decided()[-1]
+            parent = SearchState(st.assignments[:j] + (UNDECIDED,) + st.assignments[j + 1 :])
+            (m,) = evaluate_pairs(self.p, *self._histogram(parent, [j]), [(j, f)])
             return [st.with_cost(self._cost(st.cf(), m), m)]
         raise ValueError(f"unknown start strategy {self.cfg.start!r}")
 
@@ -125,124 +144,88 @@ class _Search:
     # ------------------------------------------------------------------
     def extensions(self, h: SearchState) -> list[SearchState]:
         attrs = self.p.attrs
-        s_keyed = with_block_key(self.p.source, h, attrs, is_source=True).cache()
-        t_keyed = with_block_key(self.p.target, h, attrs, is_source=False).cache()
-        try:
-            und = h.undecided_indices()
-            und_names = [attrs[i] for i in und]
-            ind = indeterminacy(s_keyed, t_keyed, und_names)
-            ordered = deque(
-                sorted(und, key=lambda i: (ind.get(attrs[i], float("inf")), i))
-            )
-            aligned = sample_random_alignment(
-                s_keyed, t_keyed, und_names, seed=self._seed()
-            ).cache()
-            sample = sample_examples(
-                s_keyed,
-                t_keyed,
-                und_names,
-                k=self.k,
-                seed=self._seed(),
-                max_block_rows=self.cfg.max_block_rows,
-            )
-            support = scaled_support(
-                min(len(sample.targets), sample.population),
-                self.k,
-                self.cfg.base_support,
-            )
+        und = h.undecided_indices()
+        und_names = [attrs[i] for i in und]
+        src, tgt = self._histogram(h, und)
+        ind = indeterminacy(src, tgt, und_names)
+        ordered = sorted(und, key=lambda i: (ind[attrs[i]], i))
+        greedy = greedy_maps_bulk(src, tgt, und_names, seed=self._seed())
+        sample = sample_examples(
+            src,
+            tgt,
+            und_names,
+            k=self.k,
+            seed=self._seed(),
+            max_block_rows=self.cfg.max_block_rows,
+        )
+        support = scaled_support(
+            min(len(sample.targets), sample.population),
+            self.k,
+            self.cfg.base_support,
+        )
 
-            exts: list[SearchState] = []
-            boxed: list[int] = []
-            batch = [ordered.popleft() for _ in range(min(self.cfg.beta, len(ordered)))]
-            while not exts and batch:
-                exts = self._extend_batch(
-                    h, batch, s_keyed, t_keyed, aligned, sample, support, boxed
-                )
-                batch = [ordered.popleft()] if (not exts and ordered) else []
-            aligned.unpersist()
+        def extend(i: int) -> list[SearchState]:
+            return self._extend_attr(h, i, src, tgt, greedy[attrs[i]], sample, support)
+
+        # The first beta attributes in indeterminacy order; failing those,
+        # the first later attribute with an extension.
+        exts = [e for i in ordered[: self.cfg.beta] for e in extend(i)]
+        for i in ordered[self.cfg.beta :]:
             if exts:
-                return exts
-            # Every undecided attribute needs a value mapping: mark and
-            # finalize (resolve markers one after another, re-sampling the
-            # alignment after each; Algorithm 1's last branch).
-            st = h
-            for i in boxed:
-                st = st.extend(i, MAP_MARKER)
-            return [self.finalize(st)]
-        finally:
-            s_keyed.unpersist()
-            t_keyed.unpersist()
+                break
+            exts = extend(i)
+        if exts:
+            return exts
+        # Every undecided attribute needs a value mapping: mark and
+        # finalize (Algorithm 1's last branch).
+        st = h
+        for i in und:
+            st = st.extend(i, MAP_MARKER)
+        return [self.finalize(st)]
 
-    def _extend_batch(
+    def _extend_attr(
         self,
         h: SearchState,
-        batch: list[int],
-        s_keyed: DataFrame,
-        t_keyed: DataFrame,
-        aligned: DataFrame,
-        sample,
+        i: int,
+        src: Histogram,
+        tgt: Histogram,
+        g: TransformFunction,
+        sample: ExampleSample,
         support: int,
-        boxed: list[int],
     ) -> list[SearchState]:
-        attrs = self.p.attrs
-        per_attr: dict[int, list[TransformFunction]] = {}
-        pairs: list[tuple[int, TransformFunction]] = []
-        bulk = greedy_maps_bulk(aligned, [attrs[i] for i in batch])
-        greedy: dict[int, TransformFunction] = {i: bulk[attrs[i]] for i in batch}
-        for i in batch:
-            a = attrs[i]
-            g = greedy[i]
-            cands = [
-                f
-                for f, _ in induce_attr_candidates(
-                    sample, a, min_support=support, max_candidates=self.cfg.max_candidates
-                )
-            ]
-            per_attr[i] = cands
-            pairs.extend((i, f) for f in cands)
-            pairs.append((i, g))
-
-        if self.cfg.use_sampled_ranking:
-            s_eval, t_eval = sampled_block_filter(
-                s_keyed, t_keyed, k_prime=self.k_prime, seed=self._seed()
+        """The (at most beta) cheapest extensions of ``h`` on attribute i by
+        an induced candidate that beats the greedy map ``g``."""
+        cands = [
+            f
+            for f, _ in induce_attr_candidates(
+                sample,
+                self.p.attrs[i],
+                min_support=support,
+                max_candidates=self.cfg.max_candidates,
             )
-        else:
-            s_eval, t_eval = s_keyed, t_keyed
-        overlaps = evaluate_pairs(self.p, s_eval, t_eval, pairs)
-        m_of = {
-            (i, f.signature()): m for (i, f), m in zip(pairs, overlaps)
-        }
-
-        exts: list[SearchState] = []
-        for i in batch:
-            g = greedy[i]
-            g_cost = self._cost(h.cf() + g.psi, m_of[(i, g.signature())])
-            scored = []
-            for f in per_attr[i]:
-                m = m_of[(i, f.signature())]
-                cost = self._cost(h.cf() + f.psi, m)
-                if cost < g_cost:
-                    scored.append((cost, m, f))
-            scored.sort(key=lambda cmf: (cmf[0], cmf[2].psi, cmf[2].signature()))
-            if scored:
-                for cost, m, f in scored[: self.cfg.beta]:
-                    exts.append(h.extend(i, f).with_cost(cost, m))
-            else:
-                boxed.append(i)
-        return exts
+        ]
+        g_m, *ms = evaluate_pairs(self.p, src, tgt, [(i, f) for f in [g, *cands]])
+        g_cost = self._cost(h.cf() + g.psi, g_m)
+        scored = []
+        for f, m in zip(cands, ms):
+            cost = self._cost(h.cf() + f.psi, m)
+            if cost < g_cost:
+                scored.append((cost, m, f))
+        scored.sort(key=lambda cmf: (cmf[0], cmf[2].psi, cmf[2].signature()))
+        return [h.extend(i, f).with_cost(cost, m) for cost, m, f in scored[: self.cfg.beta]]
 
     # ------------------------------------------------------------------
     # Finalize (§4.3): resolve MAP_MARKER slots with greedy maps
     # ------------------------------------------------------------------
     def finalize(self, st: SearchState) -> SearchState:
-        attrs = self.p.attrs
-        while st.marker_indices():
-            i = st.marker_indices()[0]
-            s_keyed = with_block_key(self.p.source, st, attrs, is_source=True)
-            t_keyed = with_block_key(self.p.target, st, attrs, is_source=False)
-            g = greedy_map(s_keyed, t_keyed, attrs[i], seed=self._seed())
+        """Resolve the markers one after another, each from a histogram of
+        the state with the previous ones resolved; M of the end state is
+        the last greedy map's overlap."""
+        for i in st.marker_indices():
+            src, tgt = self._histogram(st, [i])
+            g = greedy_map(src, tgt, self.p.attrs[i], seed=self._seed())
+            (m,) = evaluate_pairs(self.p, src, tgt, [(i, g)])
             st = st.extend(i, g)
-        m = blocking.state_overlap(self.p, st)
         self.diag.finalized += 1
         return st.with_cost(self._cost(st.cf(), m), m)
 

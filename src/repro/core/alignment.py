@@ -1,111 +1,75 @@
 """Random block-respecting alignments and greedy value maps (paper §4.3).
 
 ``Sample-Random-Alignment`` pairs source and target records uniformly at
-random *within* each block of the current blocking result: both sides get a
-random row number per block and are inner-joined on (block, row number).
+random *within* each block of the current blocking result. A greedy map
+looks at one attribute, so the pairing is drawn per attribute from the
+state's collected block histogram (``blocking.block_histogram``): every
+record of the block gets a random rank on its side, and the ranks are
+matched, giving min(#source, #target) pairs per block. For one attribute
+this is the distribution of the record-level alignment.
 
 ``Induce-Greedy-Map`` turns such an alignment into a value mapping for one
 attribute by mapping every source value to the target value with the
-highest co-occurrence among the aligned pairs. The map's cost (psi = 2n)
-is the yardstick induced functions must beat to be kept as extensions, and
-it is the fallback Finalize uses to resolve MAP_MARKER attributes.
+highest co-occurrence among the aligned pairs (ties: the smallest target
+value; nulls on either side carry no mapping information and are left
+out). The map's cost (psi = 2n) is the yardstick induced functions must
+beat to be kept as extensions, and it is the fallback Finalize uses to
+resolve MAP_MARKER attributes.
 """
 from __future__ import annotations
 
-from typing import Sequence
+import numpy as np
+import pandas as pd
 
-from pyspark.sql import DataFrame, Window
-from pyspark.sql import functions as F
-
-from .blocking import BK
+from .blocking import Histogram
 from .functions import ValueMapping
 
-__all__ = ["sample_random_alignment", "greedy_map", "greedy_map_from_alignment"]
-
-S_PREFIX = "s__"
-T_PREFIX = "t__"
+__all__ = ["greedy_maps_bulk", "greedy_map"]
 
 
-def sample_random_alignment(
-    s_keyed: DataFrame,
-    t_keyed: DataFrame,
-    attrs: Sequence[str],
+def _ranked_records(hist: pd.DataFrame, rng: np.random.Generator) -> pd.DataFrame:
+    """One row per record of a one-attribute histogram: (block, rank, val),
+    the ranks a uniformly random order of the records within each block."""
+    block = np.repeat(hist["block"].to_numpy(), hist["n"].to_numpy())
+    rank = pd.Series(rng.random(len(block))).groupby(block).rank(method="first")
+    return pd.DataFrame(
+        {
+            "block": block,
+            "rank": rank.to_numpy(dtype="int64"),
+            "val": np.repeat(hist["val"].to_numpy(dtype=object), hist["n"].to_numpy()),
+        }
+    )
+
+
+def greedy_maps_bulk(
+    src_hist: Histogram,
+    tgt_hist: Histogram,
+    attrs: list[str],
     *,
     seed: int,
-) -> DataFrame:
-    """Aligned record pairs respecting the blocking result.
-
-    Returns one row per aligned pair with columns ``s__<a>``/``t__<a>`` for
-    every requested attribute (raw values on both sides — greedy maps
-    replace the attribute's function, so their domain is the raw source
-    value).
-    """
-    sw = Window.partitionBy(BK).orderBy(F.rand(seed))
-    tw = Window.partitionBy(BK).orderBy(F.rand(seed + 1))
-    s = s_keyed.select(
-        BK, *[F.col(a).alias(S_PREFIX + a) for a in attrs]
-    ).withColumn("__rn", F.row_number().over(sw))
-    t = t_keyed.select(
-        BK, *[F.col(a).alias(T_PREFIX + a) for a in attrs]
-    ).withColumn("__rn", F.row_number().over(tw))
-    return s.join(t, [BK, "__rn"]).drop("__rn")
-
-
-def greedy_maps_bulk(aligned: DataFrame, attrs: list[str]) -> dict[str, ValueMapping]:
-    """Greedy maps for several attributes in ONE aggregation pass: melt the
-    aligned pairs to (attr, source value, target value), count
-    co-occurrences, and take the per-(attr, source value) argmax."""
-    from functools import reduce
-
-    if not attrs:
-        return {}
-    parts = [
-        aligned.select(
-            F.lit(a).alias("__attr"),
-            F.col(S_PREFIX + a).alias("__sv"),
-            F.col(T_PREFIX + a).alias("__tv"),
+) -> dict[str, ValueMapping]:
+    """Greedy maps for several attributes, each from its own random
+    within-block pairing: count (source value, target value)
+    co-occurrences and take the argmax target value per source value."""
+    rng = np.random.default_rng(seed)
+    out = {}
+    for a in attrs:
+        pairs = _ranked_records(src_hist[a], rng).merge(
+            _ranked_records(tgt_hist[a], rng), on=["block", "rank"]
         )
-        for a in attrs
-    ]
-    melted = reduce(DataFrame.unionByName, parts).where(
-        F.col("__sv").isNotNull() & F.col("__tv").isNotNull()
-    )
-    co = melted.groupBy("__attr", "__sv", "__tv").agg(F.count("*").alias("__n"))
-    w = Window.partitionBy("__attr", "__sv").orderBy(F.desc("__n"), F.asc("__tv"))
-    best = co.withColumn("__r", F.row_number().over(w)).where(F.col("__r") == 1)
-    rows = best.select("__attr", "__sv", "__tv").collect()
-    entries: dict[str, list] = {a: [] for a in attrs}
-    for r in rows:
-        entries[r["__attr"]].append((r["__sv"], r["__tv"]))
-    return {a: ValueMapping(tuple(sorted(entries[a]))) for a in attrs}
-
-
-def greedy_map_from_alignment(aligned: DataFrame, attr: str) -> ValueMapping:
-    """Greedy map for ``attr``: argmax-co-occurrence target value per
-    source value over the aligned pairs. Null values on either side are
-    excluded (they carry no mapping information)."""
-    sc, tc = S_PREFIX + attr, T_PREFIX + attr
-    co = (
-        aligned.where(F.col(sc).isNotNull() & F.col(tc).isNotNull())
-        .groupBy(sc, tc)
-        .agg(F.count("*").alias("__n"))
-    )
-    w = Window.partitionBy(sc).orderBy(F.desc("__n"), F.asc(tc))
-    best = co.withColumn("__r", F.row_number().over(w)).where(F.col("__r") == 1)
-    entries = tuple(
-        sorted((r[sc], r[tc]) for r in best.select(sc, tc).collect())
-    )
-    return ValueMapping(entries)
+        pairs = pairs[pairs["val_x"].notna() & pairs["val_y"].notna()]
+        best = (
+            pairs.groupby(["val_x", "val_y"]).size().reset_index(name="n")
+            .sort_values(["val_x", "n", "val_y"], ascending=[True, False, True])
+            .drop_duplicates("val_x")
+        )
+        out[a] = ValueMapping(tuple(zip(best["val_x"], best["val_y"])))
+    return out
 
 
 def greedy_map(
-    s_keyed: DataFrame,
-    t_keyed: DataFrame,
-    attr: str,
-    *,
-    seed: int,
+    src_hist: Histogram, tgt_hist: Histogram, attr: str, *, seed: int
 ) -> ValueMapping:
-    """Convenience: sample an alignment and induce the greedy map for one
-    attribute (used by Finalize, which re-samples after every assignment)."""
-    aligned = sample_random_alignment(s_keyed, t_keyed, [attr], seed=seed)
-    return greedy_map_from_alignment(aligned, attr)
+    """The greedy map of one attribute (used by Finalize, which collects a
+    fresh histogram after every assignment)."""
+    return greedy_maps_bulk(src_hist, tgt_hist, [attr], seed=seed)[attr]

@@ -1,50 +1,62 @@
-"""Blocking substrate (paper §4.1, Defs. 4.3/4.4) as Spark DataFrame ops.
+"""Blocking substrate (paper §4.1, Defs. 4.3/4.4) and the per-state block
+histogram.
 
 Decided attributes of a search state define a *blocking index* per record:
 source records are projected through their assigned functions (vectorized
-pandas UDFs), target records through their raw values. Records with equal
-indices share a block. Everything the search needs from the data reduces to
-aggregations over these keyed frames:
+pandas UDFs), target records through their raw values. The key is the JSON
+array of those values, so a separator inside a value cannot merge two
+tuples and a null stays a null, distinct from every string. Records with
+equal keys share a block.
 
-* ``block_overlap``  — M(H) = sum over blocks of min(#source, #target);
-  the state-cost lower bound ct(H) is |T| - M(H).
-* ``indeterminacy``  — per undecided attribute, the maximum number of
-  distinct source values over blocks containing both source and target
-  records (§4.3's attribute-ordering estimate).
-* ``evaluate_pairs`` — one-pass evaluation of many candidate extensions
-  (attribute, function): emits the refined block key per candidate on the
-  source side, builds the per-attribute target histograms once, and joins —
-  this is the exact form of the §4.4.3 histogram-overlap ranking, fused
-  with the Def. 4.6 cost computation (see DESIGN.md note 4).
+A search state needs one Spark aggregation, ``block_histogram``: the
+number of records per (side, block, attribute, value) over both keyed
+snapshots, collected to the driver as one pandas frame per side and
+attribute. Everything else is pandas over that histogram:
+
+* ``indeterminacy``  — per attribute, the exact maximum number of distinct
+  non-null source values over mixed blocks (blocks holding source and
+  target records), §4.3's attribute ordering;
+* ``evaluate_pairs`` — M(H + {a := f}) for many (attribute, function)
+  pairs: f is applied to the attribute's distinct source values only, and
+  min(#source, #target) is summed over the refined (block, value) blocks.
+  This is the exact §4.4.3 histogram-overlap ranking fused with the
+  Def. 4.6 cost computation.
+
+``block_overlap``/``state_overlap`` compute M(H) = sum over blocks of
+min(#source, #target) directly in Spark; the tests hold the histogram path
+to them.
 """
 from __future__ import annotations
 
-from functools import reduce
 from typing import Iterable, Sequence
 
+import numpy as np
 import pandas as pd
-from pyspark.sql import Column, DataFrame
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from .functions import TransformFunction
-from .state import Problem, SearchState, UNDECIDED
+from .functions import Identity, TransformFunction
+from .state import Problem, SearchState
 
 __all__ = [
     "BK",
+    "Histogram",
     "with_block_key",
     "block_overlap",
+    "state_overlap",
+    "block_histogram",
+    "block_rows",
+    "mixed_blocks",
     "indeterminacy",
     "evaluate_pairs",
-    "state_overlap",
 ]
 
 BK = "__bk"
-SEP = "\x1f"
-NULL_SENT = "\x00N"
 
-
-def _coalesced(a: str) -> Column:
-    return F.coalesce(F.col(a), F.lit(NULL_SENT))
+# One side's histogram: attribute -> frame of (block, val, n), one row per
+# distinct (block, value), sorted by block then value (nulls last). Block
+# ids are shared by the two sides of one histogram.
+Histogram = dict[str, pd.DataFrame]
 
 
 def _transform_udf(f: TransformFunction):
@@ -67,19 +79,15 @@ def with_block_key(
 
     Source values flow through the assigned functions; target values are
     used raw. States with no decided attribute put every record in one
-    block (empty key).
+    block.
     """
-    decided = state.decided()
-    if not decided:
-        return df.withColumn(BK, F.lit(""))
     cols = []
-    for i, f in decided:
-        a = attrs[i]
-        if is_source:
-            cols.append(F.coalesce(_transform_udf(f)(F.col(a)), F.lit(NULL_SENT)))
-        else:
-            cols.append(_coalesced(a))
-    return df.withColumn(BK, F.concat_ws(SEP, *cols))
+    for i, f in state.decided():
+        c = F.col(attrs[i])
+        if is_source and not isinstance(f, Identity):
+            c = _transform_udf(f)(c)
+        cols.append(c)
+    return df.withColumn(BK, F.to_json(F.array(*cols)) if cols else F.lit("[]"))
 
 
 def block_overlap(s_keyed: DataFrame, t_keyed: DataFrame) -> int:
@@ -101,94 +109,103 @@ def state_overlap(problem: Problem, state: SearchState) -> int:
     return block_overlap(s_keyed, t_keyed)
 
 
-def indeterminacy(
+def block_histogram(
     s_keyed: DataFrame, t_keyed: DataFrame, attrs: Iterable[str]
+) -> tuple[Histogram, Histogram]:
+    """Collect the (source, target) histograms of the keyed snapshots over
+    ``attrs`` (at least one) in one Spark aggregation.
+
+    The result has at most (|S| + |T|) x |attrs| rows. It is sorted into a
+    fixed order on the driver, so draws made from it with a given seed do
+    not depend on Spark's partitioning.
+    """
+    attrs = list(attrs)
+    melted = [
+        df.select(F.lit(side).alias("side"), BK, *attrs).unpivot(
+            ["side", BK], attrs, "attr", "val"
+        )
+        for side, df in ((0, s_keyed), (1, t_keyed))
+    ]
+    pdf = (
+        melted[0]
+        .unionByName(melted[1])
+        .groupBy("side", BK, "attr", "val")
+        .agg(F.count("*").alias("n"))
+        .toPandas()
+    )
+    pdf["block"] = pd.factorize(pdf[BK], sort=True)[0]
+    pdf = pdf.sort_values(
+        ["side", "attr", "block", "val"], na_position="last", ignore_index=True
+    )
+    empty = pd.DataFrame(
+        {"block": np.zeros(0, "int64"), "val": np.zeros(0, object), "n": np.zeros(0, "int64")}
+    )
+    sides = []
+    for side in (0, 1):
+        part = pdf[pdf["side"] == side]
+        by_attr = {
+            a: g[["block", "val", "n"]].reset_index(drop=True)
+            for a, g in part.groupby("attr", sort=False)
+        }
+        sides.append({a: by_attr.get(a, empty) for a in attrs})
+    return sides[0], sides[1]
+
+
+def block_rows(hist: Histogram) -> pd.Series:
+    """Records per block (block id -> count) of one side's histogram."""
+    return next(iter(hist.values())).groupby("block")["n"].sum()
+
+
+def mixed_blocks(src_hist: Histogram, tgt_hist: Histogram) -> np.ndarray:
+    """Sorted ids of the blocks holding both source and target records."""
+    return np.intersect1d(block_rows(src_hist).index, block_rows(tgt_hist).index)
+
+
+def indeterminacy(
+    src_hist: Histogram, tgt_hist: Histogram, attrs: Iterable[str]
 ) -> dict[str, float]:
-    """Max #distinct source values per attribute over mixed blocks.
+    """Max #distinct non-null source values per attribute over mixed blocks.
 
     Attributes for which no mixed block exists get +inf (least determined).
-    ``approx_count_distinct`` keeps this a single pass even for wide tables.
     """
     attrs = list(attrs)
     if not attrs:
         return {}
-    tgt_bks = t_keyed.select(BK).distinct()
-    src_mixed = s_keyed.join(tgt_bks, BK)
-    per_block = src_mixed.groupBy(BK).agg(
-        *[F.approx_count_distinct(a).alias(a) for a in attrs]
-    )
-    row = per_block.agg(*[F.max(a).alias(a) for a in attrs]).first()
+    mixed = mixed_blocks(src_hist, tgt_hist)
+    if not len(mixed):
+        return {a: float("inf") for a in attrs}
     out = {}
     for a in attrs:
-        v = row[a] if row is not None else None
-        out[a] = float(v) if v is not None else float("inf")
+        s = src_hist[a]
+        per_block = s[s["block"].isin(mixed) & s["val"].notna()].groupby("block").size()
+        out[a] = float(per_block.max()) if len(per_block) else 0.0
     return out
 
 
 def evaluate_pairs(
     problem: Problem,
-    s_keyed: DataFrame,
-    t_keyed: DataFrame,
+    src_hist: Histogram,
+    tgt_hist: Histogram,
     pairs: Sequence[tuple[int, TransformFunction]],
 ) -> list[int]:
-    """Exact overlap M(H + {attr_i := f_i}) for every candidate extension.
-
-    One source-side mapInPandas emits ``(candidate, attr, refined key)``
-    rows; per-attribute target histograms are built once and joined. The
-    result is M for each pair, aligned with the input order.
-    """
-    if not pairs:
-        return []
-    attrs = problem.attrs
-    needed = sorted({attrs[i] for i, _ in pairs})
-    pair_list = [(attrs[i], f) for i, f in pairs]
-
-    src = s_keyed.select(BK, *needed)
-
-    def gen(iterator):
-        for pdf in iterator:
-            if len(pdf) == 0:
-                continue
-            outs = []
-            for ci, (a, f) in enumerate(pair_list):
-                vals = f.apply_series(pdf[a]).fillna(NULL_SENT)
-                outs.append(
-                    pd.DataFrame(
-                        {
-                            "cand": ci,
-                            "attr": a,
-                            "key": pdf[BK].fillna("") + SEP + vals.astype(str),
-                        }
-                    )
-                )
-            yield pd.concat(outs, ignore_index=True)
-
-    src_counts = (
-        src.mapInPandas(gen, "cand int, attr string, key string")
-        .groupBy("cand", "attr", "key")
-        .agg(F.count("*").alias("__sc"))
-    )
-
-    tgt_parts = [
-        t_keyed.select(
-            F.lit(a).alias("attr"),
-            F.concat(F.col(BK), F.lit(SEP), _coalesced(a)).alias("key"),
+    """Exact overlap M(H + {attr_i := f_i}) for every candidate extension,
+    aligned with the input order. A null is a value of its own: a source
+    value f maps to null meets the target nulls of its block."""
+    out = []
+    for i, f in pairs:
+        s, t = src_hist[problem.attrs[i]], tgt_hist[problem.attrs[i]]
+        codes, uniques = pd.factorize(s["val"], use_na_sentinel=False)
+        f_vals = f.apply_series(pd.Series(uniques, dtype=object)).to_numpy(dtype=object)[codes]
+        val_codes = pd.factorize(
+            np.concatenate([f_vals, t["val"].to_numpy(dtype=object)]),
+            use_na_sentinel=False,
+        )[0]
+        src = (
+            pd.DataFrame({"block": s["block"], "v": val_codes[: len(s)], "n": s["n"]})
+            .groupby(["block", "v"], as_index=False)["n"]
+            .sum()
         )
-        for a in needed
-    ]
-    tgt_counts = (
-        reduce(DataFrame.unionByName, tgt_parts)
-        .groupBy("attr", "key")
-        .agg(F.count("*").alias("__tc"))
-    )
-
-    rows = (
-        src_counts.join(tgt_counts, ["attr", "key"])
-        .groupBy("cand")
-        .agg(F.sum(F.least("__sc", "__tc")).alias("m"))
-        .collect()
-    )
-    out = [0] * len(pair_list)
-    for r in rows:
-        out[r["cand"]] = int(r["m"])
+        tgt = pd.DataFrame({"block": t["block"], "v": val_codes[len(s):], "n": t["n"]})
+        both = src.merge(tgt, on=["block", "v"])
+        out.append(int(np.minimum(both["n_x"], both["n_y"]).sum()))
     return out

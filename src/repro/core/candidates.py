@@ -1,28 +1,34 @@
 """Candidate induction from noisy in-block examples (paper §4.4.2–4.4.3).
 
-Affidavit samples k distinct target records from *mixed* blocks (blocks
-containing both source and target records), where k is the smallest sample
-size for which a function visible in a theta-fraction of targets is
-generated >= 5 times with confidence rho (``stats.sample_size_for_support``).
-For every sampled target record and attribute, candidate functions are
-induced from each source value in the same block; a candidate's *support*
-is the number of distinct sampled targets that generated it. Candidates
-below the (proportionally scaled) support threshold are filtered out.
+Affidavit samples k target records from *mixed* blocks (blocks containing
+both source and target records), where k is the smallest sample size for
+which a function visible in a theta-fraction of targets is generated >= 5
+times with confidence rho (``stats.sample_size_for_support``). For every
+sampled target record and attribute, candidate functions are induced from
+each source value in the same block; a candidate's *support* is the number
+of distinct sampled targets that generated it. Candidates below the
+(proportionally scaled) support threshold are filtered out.
 
-Ranking uses block-level histogram overlap. ``evaluate_pairs`` (blocking.py)
-computes it exactly in one pass; ``sampled_block_filter`` restricts both
-snapshots to the blocks of a Cochran-sized source-record sample, giving the
-paper's sampled estimator when exactness is too expensive.
+The sample is drawn on the driver from the state's collected block
+histogram (``blocking.block_histogram``). Induction looks at one attribute
+at a time, so only each attribute's (block, value) draw matters: the
+blocks of the k targets are drawn from the mixed blocks' record counts
+without replacement, then each attribute's target values within each block,
+and at most ``max_block_rows`` source rows per block, likewise. Per
+attribute this is the distribution of drawing whole records.
+
+Ranking uses block-level histogram overlap, computed exactly from the same
+histogram by ``blocking.evaluate_pairs``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from pyspark.sql import DataFrame, Window
-from pyspark.sql import functions as F
+import numpy as np
+import pandas as pd
 
-from .blocking import BK
+from .blocking import BK, Histogram, block_rows, mixed_blocks
 from .functions import TransformFunction, induce_candidates
 
 __all__ = [
@@ -30,7 +36,6 @@ __all__ = [
     "sample_examples",
     "induce_attr_candidates",
     "scaled_support",
-    "sampled_block_filter",
 ]
 
 
@@ -39,14 +44,28 @@ class ExampleSample:
     """Sampled target records plus the (capped) distinct source values of
     their blocks, for a set of attributes."""
 
-    targets: list[dict]  # each: {attr: value, BK: key}
-    block_source_values: dict[str, dict[str, list]]  # bk -> attr -> values
-    population: int  # number of target records in mixed blocks
+    targets: list[dict]  # each: {attr: value, BK: block id}
+    block_source_values: dict[int, dict[str, list]]  # block -> attr -> values
+    population: int  # number of sampled targets, min(k, mixed-block targets)
+
+
+def _draw(rng: np.random.Generator, block: pd.DataFrame, size: int) -> np.ndarray:
+    """``size`` of the block's records drawn without replacement, as the
+    values they hold (``block`` is one block's rows of a histogram)."""
+    counts = block["n"].to_numpy()
+    if size < counts.sum():
+        counts = rng.multivariate_hypergeometric(counts, size)
+    return np.repeat(block["val"].to_numpy(dtype=object), counts)
+
+
+def _by_block(hist: pd.DataFrame, blocks: pd.Index) -> dict[int, pd.DataFrame]:
+    """The rows of a one-attribute histogram for each of ``blocks``."""
+    return dict(tuple(hist[hist["block"].isin(blocks)].groupby("block")))
 
 
 def sample_examples(
-    s_keyed: DataFrame,
-    t_keyed: DataFrame,
+    src_hist: Histogram,
+    tgt_hist: Histogram,
     attrs: list[str],
     *,
     k: int,
@@ -57,31 +76,26 @@ def sample_examples(
     source values of their blocks (at most ``max_block_rows`` source rows
     per block are considered, keeping the driver-side work bounded on
     coarse early-search blockings)."""
-    src_bks = s_keyed.select(BK).distinct()
-    mixed_tgt = t_keyed.join(src_bks, BK).select(BK, *attrs)
-    sampled = mixed_tgt.orderBy(F.rand(seed)).limit(k).collect()
-    if not sampled:
+    mixed = mixed_blocks(src_hist, tgt_hist) if attrs else []
+    if not len(mixed):
         return ExampleSample([], {}, 0)
-    pop = len(sampled)  # == min(k, mixed population); enough for support scaling
-    bks = sorted({r[BK] for r in sampled})
-
-    w = Window.partitionBy(BK).orderBy(F.rand(seed + 1))
-    src_rows = (
-        s_keyed.where(F.col(BK).isin(bks))
-        .select(BK, *attrs)
-        .withColumn("__rn", F.row_number().over(w))
-        .where(F.col("__rn") <= max_block_rows)
-        .collect()
-    )
-    block_vals: dict[str, dict[str, list]] = {bk: {a: [] for a in attrs} for bk in bks}
-    seen: dict[str, dict[str, set]] = {bk: {a: set() for a in attrs} for bk in bks}
-    for r in src_rows:
-        for a in attrs:
-            v = r[a]
-            if v is not None and v not in seen[r[BK]][a]:
-                seen[r[BK]][a].add(v)
-                block_vals[r[BK]][a].append(v)
-    targets = [{**{a: r[a] for a in attrs}, BK: r[BK]} for r in sampled]
+    rng = np.random.default_rng(seed)
+    sizes = block_rows(tgt_hist).loc[mixed]
+    pop = min(k, int(sizes.sum()))
+    per_block = pd.Series(rng.multivariate_hypergeometric(sizes.to_numpy(), pop), sizes.index)
+    per_block = per_block[per_block > 0]
+    targets = [{BK: b} for b, c in per_block.items() for _ in range(c)]
+    block_vals: dict[int, dict[str, list]] = {b: {} for b in per_block.index}
+    for a in attrs:
+        t_groups = _by_block(tgt_hist[a], per_block.index)
+        s_groups = _by_block(src_hist[a], per_block.index)
+        row = 0
+        for b, c in per_block.items():
+            for v in _draw(rng, t_groups[b], c):
+                targets[row][a] = v
+                row += 1
+            vals = pd.unique(_draw(rng, s_groups[b], max_block_rows))
+            block_vals[b][a] = [v for v in vals if pd.notna(v)]
     return ExampleSample(targets, block_vals, pop)
 
 
@@ -116,27 +130,3 @@ def induce_attr_candidates(
     kept = [(f, n) for f, n in support.items() if n >= min_support]
     kept.sort(key=lambda fn: (-fn[1], fn[0].psi, fn[0].signature()))
     return kept[:max_candidates]
-
-
-def sampled_block_filter(
-    s_keyed: DataFrame,
-    t_keyed: DataFrame,
-    *,
-    k_prime: int,
-    seed: int,
-) -> tuple[DataFrame, DataFrame]:
-    """Restrict both keyed snapshots to the blocks of a k'-sized random
-    source-record sample (Cochran's formula chooses k'; §4.4.3). Overlaps
-    computed on the result estimate the full-data overlaps."""
-    bks = [
-        r[BK]
-        for r in s_keyed.select(BK)
-        .orderBy(F.rand(seed))
-        .limit(k_prime)
-        .distinct()
-        .collect()
-    ]
-    return (
-        s_keyed.where(F.col(BK).isin(bks)),
-        t_keyed.where(F.col(BK).isin(bks)),
-    )

@@ -18,13 +18,11 @@ from dataclasses import dataclass
 from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
-from .blocking import NULL_SENT, SEP, _transform_udf
+from .blocking import BK, with_block_key
 from .functions import Identity, TransformFunction
 from .state import RID, Problem, SearchState
 
 __all__ = ["Explanation", "explanation_from_functions", "trivial_explanation"]
-
-FULL_KEY = "__fk"
 
 
 @dataclass
@@ -50,22 +48,6 @@ class Explanation:
         return self.core_size >= 0
 
 
-def _with_full_key(
-    df: DataFrame,
-    functions: tuple[TransformFunction, ...],
-    attrs: list[str],
-    *,
-    is_source: bool,
-) -> DataFrame:
-    cols = []
-    for a, f in zip(attrs, functions):
-        c = F.col(a)
-        if is_source and not isinstance(f, Identity):
-            c = _transform_udf(f)(c)
-        cols.append(F.coalesce(c, F.lit(NULL_SENT)))
-    return df.withColumn(FULL_KEY, F.concat_ws(SEP, *cols))
-
-
 def explanation_from_functions(
     problem: Problem,
     functions: tuple[TransformFunction, ...],
@@ -76,17 +58,19 @@ def explanation_from_functions(
     maximal valid explanation for the given attribute functions."""
     if len(functions) != problem.n_attrs:
         raise ValueError("need one function per attribute")
-    s = _with_full_key(problem.source, functions, problem.attrs, is_source=True)
-    t = _with_full_key(problem.target, functions, problem.attrs, is_source=False)
-    sw = Window.partitionBy(FULL_KEY).orderBy(F.rand(seed))
-    tw = Window.partitionBy(FULL_KEY).orderBy(F.rand(seed + 1))
+    # The full-tuple key is the block key of the end state F.
+    end = SearchState(tuple(functions))
+    s = with_block_key(problem.source, end, problem.attrs, is_source=True)
+    t = with_block_key(problem.target, end, problem.attrs, is_source=False)
+    sw = Window.partitionBy(BK).orderBy(F.rand(seed))
+    tw = Window.partitionBy(BK).orderBy(F.rand(seed + 1))
     s_ranked = s.select(
-        F.col(RID).alias("s_rid"), FULL_KEY
+        F.col(RID).alias("s_rid"), BK
     ).withColumn("__rn", F.row_number().over(sw))
     t_ranked = t.select(
-        F.col(RID).alias("t_rid"), FULL_KEY
+        F.col(RID).alias("t_rid"), BK
     ).withColumn("__rn", F.row_number().over(tw))
-    pairs = s_ranked.join(t_ranked, [FULL_KEY, "__rn"]).select("s_rid", "t_rid")
+    pairs = s_ranked.join(t_ranked, [BK, "__rn"]).select("s_rid", "t_rid")
     pairs = pairs.cache()
     core = pairs.count()
     return Explanation(

@@ -19,6 +19,7 @@ its generating example.
 """
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -314,8 +315,10 @@ class ValueMapping(TransformFunction):
         mapped = s.map(d)
         return mapped.where(mapped.notna(), s)
 
-    def __repr__(self):  # entries can be large; keep signatures bounded
-        h = hash(self.entries)
+    def __repr__(self):
+        # Entries can be large: keep signatures bounded. A content digest,
+        # unlike the salted hash(), is the same in every process.
+        h = hashlib.blake2b(repr(self.entries).encode(), digest_size=8).hexdigest()
         return f"ValueMapping(n={len(self.entries)}, h={h})"
 
 

@@ -4,15 +4,16 @@
   X ~ Binomial(k, theta) — the number of target records Affidavit samples
   per induction round so that a function visible in a theta-fraction of the
   targets is generated at least ``support`` times with confidence rho.
-* ``cochran_sample_size``: Cochran's formula for the number of source
-  records sampled when estimating candidate overlaps (z = 1.96, e = 0.05
-  in the paper => 95% confidence of being within +/-5%).
+
+Candidate overlaps are computed exactly from the state's block histogram,
+so the paper's Cochran-sized source sample for estimating them is not
+used.
 """
 from __future__ import annotations
 
 import math
 
-__all__ = ["binom_pmf", "binom_sf", "sample_size_for_support", "cochran_sample_size"]
+__all__ = ["binom_pmf", "binom_sf", "sample_size_for_support"]
 
 
 def binom_pmf(n: int, k: int, p: float) -> float:
@@ -45,7 +46,3 @@ def sample_size_for_support(theta: float, rho: float, support: int = 5) -> int:
             raise ValueError("sample size diverged; theta too small")
     return k
 
-
-def cochran_sample_size(p: float, z: float = 1.96, e: float = 0.05) -> int:
-    """Cochran's formula k' >= z^2 p (1-p) / e^2, rounded up."""
-    return math.ceil(z * z * p * (1 - p) / (e * e))

@@ -9,6 +9,7 @@ from repro.bench.running_example import (
     running_example_problem,
 )
 from repro.core import AffidavitConfig, run_affidavit
+from repro.core.affidavit import _Search
 from repro.core.functions import (
     ConstantValue,
     Identity,
@@ -58,6 +59,45 @@ def test_running_example_diagnostics(i1_result):
     assert diag.end_state is not None and diag.end_state.is_end
     assert diag.polls >= 1
     assert diag.start_states == 7  # one per attribute for H^id
+    # the driver-memory bound: (|S| + |T|) x |undecided| histogram rows
+    assert 0 < diag.max_hist_rows <= (17 + 16) * 7
+
+
+def _jobs_in_group(sc, group: str) -> int:
+    """Jobs submitted under ``group``, once the listener bus has delivered
+    every job event."""
+    sc._jsc.sc().listenerBus().waitUntilEmpty()
+    return len(sc.statusTracker().getJobIdsForGroup(group))
+
+
+def test_extensions_job_budget(spark, i1):
+    """One poll that does not finalize is one histogram: at most 3 jobs."""
+    search = _Search(i1, AffidavitConfig(start="id", beta=2, queue_width=5, seed=1))
+    h = min(search.init_start_states(), key=lambda st: st.cost)
+    sc = spark.sparkContext
+    group = "test-extensions-job-budget"
+    sc.setJobGroup(group, "one extensions() call")
+    try:
+        exts = search.extensions(h)
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    assert exts and search.diag.finalized == 0
+    assert 1 <= _jobs_in_group(sc, group) <= 3
+
+
+def test_fig1_hs_end_state_independent_of_shuffle_partitions(spark, i1):
+    cfg = AffidavitConfig(start="overlap", beta=1, queue_width=1, seed=1)
+    old = spark.conf.get("spark.sql.shuffle.partitions")
+    ends = []
+    try:
+        for n in (1, 8):
+            spark.conf.set("spark.sql.shuffle.partitions", str(n))
+            expl, diag = run_affidavit(i1, cfg)
+            expl.core_pairs.unpersist()
+            ends.append((diag.end_state.assignments, diag.end_state.cost))
+    finally:
+        spark.conf.set("spark.sql.shuffle.partitions", old)
+    assert ends[0] == ends[1]
 
 
 def test_identical_snapshots_identity_solution(spark):
@@ -114,18 +154,6 @@ def test_empty_start_runs(spark):
     p = make_problem(spark, ["k", "v"], rows, rows)
     expl, _ = run_affidavit(p, AffidavitConfig(start="empty", beta=1, queue_width=2, seed=0))
     assert expl.core_size == 8
-
-
-def test_sampled_ranking_mode(spark):
-    rows = [(f"k{i}", f"v{i % 3}") for i in range(12)]
-    p = make_problem(spark, ["k", "v"], rows, rows)
-    expl, _ = run_affidavit(
-        p,
-        AffidavitConfig(
-            start="id", beta=1, queue_width=1, seed=0, use_sampled_ranking=True
-        ),
-    )
-    assert expl.core_size == 12
 
 
 def test_unknown_start_raises(spark):

@@ -1,17 +1,26 @@
-"""Blocking substrate (Defs. 4.3/4.4) — every aggregation primitive is
-cross-checked against the DuckDB oracle."""
+"""Blocking substrate (Defs. 4.3/4.4) and the per-state block histogram —
+the Spark aggregations are cross-checked against the DuckDB oracle, and the
+histogram-derived overlaps against the direct Spark M(H)."""
 import pandas as pd
 import pytest
 
 from repro.core.blocking import (
     BK,
+    block_histogram,
     block_overlap,
     evaluate_pairs,
     indeterminacy,
     state_overlap,
     with_block_key,
 )
-from repro.core.functions import ConstantValue, Identity, Scale, Uppercasing
+from repro.core.functions import (
+    ConstantValue,
+    Identity,
+    Lowercasing,
+    Scale,
+    Uppercasing,
+    ValueMapping,
+)
 from repro.core.state import UNDECIDED, SearchState
 from repro.oracle import assert_equivalent
 
@@ -43,6 +52,10 @@ def _keyed(problem, state):
     s = with_block_key(problem.source, state, problem.attrs, is_source=True)
     t = with_block_key(problem.target, state, problem.attrs, is_source=False)
     return s, t
+
+
+def _hist(problem, state, attrs):
+    return block_histogram(*_keyed(problem, state), attrs)
 
 
 def test_empty_state_single_block(problem):
@@ -100,33 +113,65 @@ def test_cs_minus_delta_equals_ct(problem, spark):
     assert ct == len(TGT) - block_overlap(s, t)
 
 
+def test_histogram_matches_oracle(problem):
+    """Counts per (side, block, attribute, value); block ids number the
+    blocks in key order, which for one plain-letter key is value order."""
+    src, tgt = _hist(problem, SearchState((Identity(), UNDECIDED, UNDECIDED)), ["b", "c"])
+    got = pd.concat(
+        [
+            h[a].assign(side=side, attr=a)
+            for side, h in ((0, src), (1, tgt))
+            for a in ("b", "c")
+        ]
+    )
+    sql = """
+        WITH u AS (SELECT 0 AS side, * FROM src UNION ALL SELECT 1 AS side, * FROM tgt),
+             r AS (SELECT a, CAST(row_number() OVER (ORDER BY a) - 1 AS BIGINT) AS block
+                   FROM (SELECT DISTINCT a FROM u)),
+             m AS (SELECT side, a, 'b' AS attr, b AS val FROM u
+                   UNION ALL SELECT side, a, 'c' AS attr, c AS val FROM u)
+        SELECT side, block, attr, val, CAST(count(*) AS BIGINT) AS n
+        FROM m JOIN r USING (a) GROUP BY side, block, attr, val
+    """
+    assert_equivalent(
+        problem.source.sparkSession.createDataFrame(got),
+        sql,
+        src=pd.DataFrame(SRC, columns=ATTRS),
+        tgt=pd.DataFrame(TGT, columns=ATTRS),
+    )
+
+
 def test_indeterminacy_mixed_blocks_only(problem):
     state = SearchState((Identity(), UNDECIDED, UNDECIDED))
-    s, t = _keyed(problem, state)
-    ind = indeterminacy(s, t, ["b", "c"])
+    ind = indeterminacy(*_hist(problem, state, ["b", "c"]), ["b", "c"])
     # mixed blocks are x (2 distinct b) and y (2 distinct b); c has 1 each
     assert ind["b"] == 2.0
     assert ind["c"] == 1.0
 
 
 def test_indeterminacy_no_mixed_blocks_is_inf(spark):
-    p = make_problem(spark, ["a"], [("x",)], [("y",)])
-    state = SearchState((Identity(),))
-    s = with_block_key(p.source, state, p.attrs, is_source=True)
-    t = with_block_key(p.target, state, p.attrs, is_source=False)
-    assert indeterminacy(s, t, ["a"]) == {"a": float("inf")}
+    p = make_problem(spark, ["a", "b"], [("x", "1")], [("y", "1")])
+    state = SearchState((Identity(), UNDECIDED))
+    assert indeterminacy(*_hist(p, state, ["b"]), ["b"]) == {"b": float("inf")}
+
+
+def test_indeterminacy_all_null_is_zero(spark):
+    """Exact distinct count: nulls are no value to tell records apart."""
+    src = [("x", None), ("x", None), ("y", "2")]  # block y is not mixed
+    p = make_problem(spark, ["a", "b"], src, [("x", "1")])
+    state = SearchState((Identity(), UNDECIDED))
+    assert indeterminacy(*_hist(p, state, ["b"]), ["b"]) == {"b": 0.0}
 
 
 def test_evaluate_pairs_matches_individual_state_overlap(problem):
     base = SearchState((Identity(), UNDECIDED, UNDECIDED))
-    s, t = _keyed(problem, base)
     pairs = [
         (2, Uppercasing()),
         (2, Identity()),
         (2, ConstantValue("P")),
         (1, Scale(10.0)),
     ]
-    got = evaluate_pairs(problem, s, t, pairs)
+    got = evaluate_pairs(problem, *_hist(problem, base, ["b", "c"]), pairs)
     want = [
         state_overlap(problem, base.extend(i, f)) for i, f in pairs
     ]
@@ -137,8 +182,7 @@ def test_evaluate_pairs_oracle_check(problem, spark):
     """Identity extension on b under identity-on-a base == two-column
     group-count overlap in DuckDB."""
     base = SearchState((Identity(), UNDECIDED, UNDECIDED))
-    s, t = _keyed(problem, base)
-    (m,) = evaluate_pairs(problem, s, t, [(1, Identity())])
+    (m,) = evaluate_pairs(problem, *_hist(problem, base, ["b"]), [(1, Identity())])
     sql = """
         WITH s AS (SELECT a, b, count(*) AS c FROM src GROUP BY a, b),
              t AS (SELECT a, b, count(*) AS c FROM tgt GROUP BY a, b)
@@ -153,9 +197,40 @@ def test_evaluate_pairs_oracle_check(problem, spark):
     )
 
 
+def test_evaluate_pairs_with_nulls_matches_state_overlap(spark):
+    """Null is a value of its own on both sides, in the block key and in
+    the refined (block, value) blocks."""
+    src = [("x", None, "p"), ("x", None, "p"), (None, "1", None), (None, None, "q"), ("y", "2", "Q")]
+    tgt = [("x", None, "P"), (None, "1", None), (None, "3", "Q"), ("y", None, "Q"), ("y", "2", None)]
+    p = make_problem(spark, ATTRS, src, tgt)
+    base = SearchState((Identity(), UNDECIDED, UNDECIDED))
+    pairs = [
+        (1, Identity()),
+        (1, ConstantValue("1")),
+        (1, ValueMapping((("2", "3"),))),
+        (2, Uppercasing()),
+        (2, Lowercasing()),
+        (2, Identity()),
+    ]
+    got = evaluate_pairs(p, *_hist(p, base, ["b", "c"]), pairs)
+    assert got == [state_overlap(p, base.extend(i, f)) for i, f in pairs]
+    assert got[0] == 3  # (x, null) once and (null, 1) and (y, 2)
+
+
 def test_evaluate_pairs_empty(problem):
-    s, t = _keyed(problem, SearchState((UNDECIDED,) * 3))
-    assert evaluate_pairs(problem, s, t, []) == []
+    hist = _hist(problem, SearchState((UNDECIDED,) * 3), ["a"])
+    assert evaluate_pairs(problem, *hist, []) == []
+
+
+def test_block_key_separator_in_values(spark):
+    """("a\x1fb", "c") and ("a", "b\x1fc") are different blocks."""
+    p = make_problem(spark, ["a", "b"], [("a\x1fb", "c")], [("a", "b\x1fc")])
+    assert state_overlap(p, SearchState((Identity(), Identity()))) == 0
+
+
+def test_block_key_null_sentinel_string_is_not_null(spark):
+    p = make_problem(spark, ["a", "b"], [("\x00N", "v")], [(None, "v")])
+    assert state_overlap(p, SearchState((Identity(), Identity()))) == 0
 
 
 def test_null_values_block_consistently(spark):

@@ -1,12 +1,11 @@
-"""Candidate induction from in-block examples (§4.4.2) and the Cochran
-sampling helper (§4.4.3)."""
+"""Candidate induction from in-block examples (§4.4.2), sampled from the
+collected block histogram."""
 import pytest
 
-from repro.core.blocking import BK, with_block_key
+from repro.core.blocking import BK, block_histogram, mixed_blocks, with_block_key
 from repro.core.candidates import (
     induce_attr_candidates,
     sample_examples,
-    sampled_block_filter,
     scaled_support,
 )
 from repro.core.functions import Identity, Scale, Uppercasing
@@ -22,18 +21,22 @@ SRC = [(str(i % 4), str(7000 * (i + 1))) for i in range(40)]
 TGT = [(str(i % 4), str(7 * (i + 1))) for i in range(40)]
 
 
-@pytest.fixture(scope="module")
-def keyed(spark):
-    p = make_problem(spark, ATTRS, SRC, TGT)
+def _hist(spark, src, tgt):
+    """Histogram over v under identity on g."""
+    p = make_problem(spark, ATTRS, src, tgt)
     st = SearchState((Identity(), UNDECIDED))
-    s = with_block_key(p.source, st, p.attrs, is_source=True).cache()
-    t = with_block_key(p.target, st, p.attrs, is_source=False).cache()
-    return p, s, t
+    s = with_block_key(p.source, st, p.attrs, is_source=True)
+    t = with_block_key(p.target, st, p.attrs, is_source=False)
+    return block_histogram(s, t, ["v"])
 
 
-def test_sample_examples_collects_block_values(keyed):
-    _, s, t = keyed
-    sample = sample_examples(s, t, ["v"], k=10, seed=1)
+@pytest.fixture(scope="module")
+def hist(spark):
+    return _hist(spark, SRC, TGT)
+
+
+def test_sample_examples_collects_block_values(hist):
+    sample = sample_examples(*hist, ["v"], k=10, seed=1)
     assert len(sample.targets) == 10
     for tr in sample.targets:
         assert tr[BK] in sample.block_source_values
@@ -41,12 +44,44 @@ def test_sample_examples_collects_block_values(keyed):
 
 
 def test_sample_examples_empty_when_no_mixed_blocks(spark):
-    p = make_problem(spark, ["a"], [("x",)], [("y",)])
-    st = SearchState((Identity(),))
-    s = with_block_key(p.source, st, p.attrs, is_source=True)
-    t = with_block_key(p.target, st, p.attrs, is_source=False)
-    sample = sample_examples(s, t, ["a"], k=5, seed=0)
+    sample = sample_examples(*_hist(spark, [("x", "1")], [("y", "1")]), ["v"], k=5, seed=0)
     assert sample.targets == [] and sample.population == 0
+
+
+def test_sample_examples_only_from_mixed_blocks(spark):
+    # block "t" is target-only, block "s" source-only
+    src = [("m", f"s{i}") for i in range(5)] + [("s", "src-only")]
+    tgt = [("m", f"t{i}") for i in range(3)] + [("t", f"tgt-only{i}") for i in range(30)]
+    src_hist, tgt_hist = _hist(spark, src, tgt)
+    (mixed,) = mixed_blocks(src_hist, tgt_hist)
+    for seed in range(5):
+        sample = sample_examples(src_hist, tgt_hist, ["v"], k=10, seed=seed)
+        assert {tr[BK] for tr in sample.targets} == {mixed}
+        assert sorted(tr["v"] for tr in sample.targets) == ["t0", "t1", "t2"]
+        assert sorted(sample.block_source_values[mixed]["v"]) == [f"s{i}" for i in range(5)]
+
+
+def test_sample_examples_size_is_min_of_k_and_population(hist):
+    for k in (1, 39, 40, 200):
+        sample = sample_examples(*hist, ["v"], k=k, seed=k)
+        assert len(sample.targets) == sample.population == min(k, len(TGT))
+    # the 40 targets are distinct, so a full draw returns each exactly once
+    full = sample_examples(*hist, ["v"], k=200, seed=0)
+    assert sorted(tr["v"] for tr in full.targets) == sorted(v for _, v in TGT)
+
+
+def test_sample_examples_caps_source_rows_per_block(spark):
+    src = [("m", f"s{i}") for i in range(100)]
+    src_hist, tgt_hist = _hist(spark, src, [("m", "t")])
+    sample = sample_examples(src_hist, tgt_hist, ["v"], k=5, seed=0, max_block_rows=7)
+    (vals,) = [bv["v"] for bv in sample.block_source_values.values()]
+    assert len(vals) == 7 and set(vals) <= {v for _, v in src}
+
+
+def test_sample_examples_deterministic_in_seed(hist):
+    a = sample_examples(*hist, ["v"], k=10, seed=4, max_block_rows=3)
+    b = sample_examples(*hist, ["v"], k=10, seed=4, max_block_rows=3)
+    assert a == b
 
 
 def test_scaled_support():
@@ -57,9 +92,8 @@ def test_scaled_support():
     assert scaled_support(0, 89) == 2
 
 
-def test_induce_attr_candidates_finds_scale(keyed):
-    _, s, t = keyed
-    sample = sample_examples(s, t, ["v"], k=40, seed=2)
+def test_induce_attr_candidates_finds_scale(hist):
+    sample = sample_examples(*hist, ["v"], k=40, seed=2)
     cands = induce_attr_candidates(sample, "v", min_support=5)
     funcs = [f for f, _ in cands]
     assert Scale(1.0 / 1000) in funcs
@@ -68,23 +102,14 @@ def test_induce_attr_candidates_finds_scale(keyed):
     assert support[Scale(1.0 / 1000).signature()] == len(sample.targets)
 
 
-def test_induce_attr_candidates_support_filter(keyed):
-    _, s, t = keyed
-    sample = sample_examples(s, t, ["v"], k=40, seed=2)
+def test_induce_attr_candidates_support_filter(hist):
+    sample = sample_examples(*hist, ["v"], k=40, seed=2)
     cands = induce_attr_candidates(sample, "v", min_support=10_000)
     assert cands == []
 
 
-def test_induce_attr_candidates_max_candidates(keyed):
-    _, s, t = keyed
-    sample = sample_examples(s, t, ["v"], k=40, seed=2)
+def test_induce_attr_candidates_max_candidates(hist):
+    sample = sample_examples(*hist, ["v"], k=40, seed=2)
     cands = induce_attr_candidates(sample, "v", min_support=1, max_candidates=3)
     assert len(cands) <= 3
 
-
-def test_sampled_block_filter_subset(keyed):
-    _, s, t = keyed
-    s2, t2 = sampled_block_filter(s, t, k_prime=2, seed=3)
-    bks = {r[BK] for r in s2.select(BK).distinct().collect()}
-    assert 1 <= len(bks) <= 2
-    assert {r[BK] for r in t2.select(BK).distinct().collect()} <= bks | set()

@@ -103,6 +103,19 @@ def test_bijection_on_duplicate_tuples(spark):
     assert e.n_deleted == 0
 
 
+@pytest.mark.parametrize(
+    "src, tgt",
+    [
+        ([("a\x1fb", "c")], [("a", "b\x1fc")]),  # separator inside a value
+        ([("\x00N", "v")], [(None, "v")]),  # the old null-sentinel string
+    ],
+)
+def test_full_tuple_key_does_not_pair_distinct_tuples(spark, src, tgt):
+    p = make_problem(spark, ["a", "b"], src, tgt)
+    e = explanation_from_functions(p, (Identity(), Identity()))
+    assert e.core_size == 0
+
+
 def test_core_pairs_are_one_to_one(i1):
     e = explanation_from_functions(i1, _e1_functions())
     pdf = e.core_pairs.toPandas()

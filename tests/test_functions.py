@@ -1,5 +1,10 @@
 """Unit tests for the Table 1 meta-function library and single-example
 induction (no Spark needed)."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pandas as pd
 import pytest
 from hypothesis import given, settings
@@ -264,6 +269,27 @@ def test_signature_stable_and_distinct():
         ValueMapping((("a", "b"),)).signature()
         != ValueMapping((("a", "c"),)).signature()
     )
+
+
+def test_value_mapping_signature_stable_across_processes():
+    """The signature must not depend on Python's per-process string-hash
+    salt."""
+    import repro
+
+    code = (
+        "from repro.core.functions import ValueMapping; "
+        "print(ValueMapping((('S01', 'T07'), ('S02', 'T02'))).signature())"
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    sigs = set()
+    for hash_seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        sigs.add(out.stdout.strip())
+    assert len(sigs) == 1
 
 
 def test_functions_hashable_and_eq():

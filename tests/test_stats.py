@@ -1,14 +1,7 @@
-"""Sample-size math of §4.4.2/§4.4.3."""
-import math
-
+"""Sample-size math of §4.4.2."""
 import pytest
 
-from repro.core.stats import (
-    binom_pmf,
-    binom_sf,
-    cochran_sample_size,
-    sample_size_for_support,
-)
+from repro.core.stats import binom_pmf, binom_sf, sample_size_for_support
 
 
 def test_pmf_sums_to_one():
@@ -45,13 +38,3 @@ def test_sample_size_validation():
     with pytest.raises(ValueError):
         sample_size_for_support(0.1, 1.0)
 
-
-def test_cochran_paper_defaults():
-    """z=1.96, p=theta=0.1, e=0.05 => k' = ceil(138.3) = 139."""
-    assert cochran_sample_size(0.1) == math.ceil(1.96**2 * 0.1 * 0.9 / 0.05**2)
-    assert cochran_sample_size(0.1) == 139
-
-
-def test_cochran_max_at_half():
-    assert cochran_sample_size(0.5) >= cochran_sample_size(0.1)
-    assert cochran_sample_size(0.5) == 385

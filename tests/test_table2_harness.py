@@ -64,3 +64,10 @@ def test_run_cell_smoke(spark):
     assert "iris" in text and "Hs" in text
     md = format_rows([row], markdown=True)
     assert md.startswith("| dataset")
+
+
+def test_run_cell_releases_cached_frames(spark):
+    """run_cell leaves Spark's cache manager as it found it (empty)."""
+    spark.catalog.clearCache()
+    run_cell(spark, "iris", (0.3, 0.3), "Hs", n_instances=1, seed=5, n_rows=120)
+    assert spark._jsparkSession.sharedState().cacheManager().isEmpty()
