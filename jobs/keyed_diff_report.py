@@ -31,8 +31,6 @@ def main() -> int:
     t0 = time.time()
     expl, _ = run_affidavit(p, AffidavitConfig(start="id", beta=2, queue_width=5))
     r = evaluate_explanation(inst, expl, runtime_s=time.time() - t0)
-    if expl.core_pairs is not None:
-        expl.core_pairs.unpersist()
     print("\nAffidavit (Hid):")
     print(f"  core {expl.core_size}, inserted {expl.n_inserted}, "
           f"deleted {expl.n_deleted}")

@@ -167,8 +167,6 @@ def run_cell(
         expl, _diag = run_affidavit(inst.problem, cfg)
         t = time.perf_counter() - t0
         r = evaluate_explanation(inst, expl, runtime_s=t, alpha=cfg.alpha)
-        if expl.core_pairs is not None:
-            expl.core_pairs.unpersist()
         ts.append(r.t)
         dcores.append(r.dcore)
         dcostss.append(r.dcosts)

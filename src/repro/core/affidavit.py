@@ -14,16 +14,20 @@ in pandas:
 
 Finalize collects one histogram per MAP_MARKER attribute (alignment.
 greedy_map) and takes the end state's M(H) from the last one; the start
-states are costed from a histogram too. Two steps stay record-level Spark
-computations:
+states are costed from a histogram too. The two remaining steps are one
+collected Spark query each, finished in pandas on the driver:
 
-* Hs initialization   -> overlap_init.overlap_start_state
-* final conversion    -> explanation.explanation_from_state (Prop. 3.6)
+* Hs initialization   -> overlap_init.overlap_start_state (the best
+  a-priori target per source record: |S| rows)
+* final conversion    -> explanation.explanation_from_state (Prop. 3.6:
+  (side, record id, full-tuple key) for |S| + |T| rows)
+
+Nothing the search computes is cached in Spark.
 """
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from .alignment import greedy_map, greedy_maps_bulk
@@ -78,7 +82,8 @@ class SearchDiagnostics:
     end_state: SearchState | None = None
     start_states: int = 0
     finalized: int = 0
-    max_hist_rows: int = 0  # largest block histogram collected to the driver
+    # rows of every block histogram collected to the driver, in order
+    hist_rows: list[int] = field(default_factory=list)
 
 
 class _Search:
@@ -106,8 +111,7 @@ class _Search:
         s_keyed = with_block_key(self.p.source, state, attrs, is_source=True)
         t_keyed = with_block_key(self.p.target, state, attrs, is_source=False)
         src, tgt = block_histogram(s_keyed, t_keyed, [attrs[i] for i in indices])
-        rows = sum(len(h) for side in (src, tgt) for h in side.values())
-        self.diag.max_hist_rows = max(self.diag.max_hist_rows, rows)
+        self.diag.hist_rows.append(sum(len(h) for side in (src, tgt) for h in side.values()))
         return src, tgt
 
     # ------------------------------------------------------------------

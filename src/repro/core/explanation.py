@@ -7,6 +7,12 @@ group the i-th source record (in random-but-deterministic order) matches
 the i-th target record. Unmatched source records are deletions (S^E-),
 unmatched target records insertions (T^E+).
 
+One Spark query keys both snapshots (the full-tuple key is the block key
+of the end state) and collects |S| + |T| rows of (side, ``__rid``, key);
+the bijection is drawn on the driver from rows sorted by ``__rid``, so a
+seed gives the same pairs at any partitioning. The pairs come back as a
+local, uncached DataFrame: callers have nothing to release.
+
 Costs (Def. 3.10): c(E) = 2*alpha*|A|*|T^E+| + 2*(1-alpha)*sum_a psi(f_a).
 The trivial explanation E_empty (everything deleted+inserted, identity
 functions) costs 2*alpha*|A|*|T| and upper-bounds every search result.
@@ -15,7 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from pyspark.sql import DataFrame, Window
+import numpy as np
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from .blocking import BK, with_block_key
@@ -42,11 +49,6 @@ class Explanation:
         lt = self.n_attrs * self.n_inserted
         return 2 * alpha * lt + 2 * (1 - alpha) * lf
 
-    @property
-    def is_valid_shape(self) -> bool:
-        """|S^E| = |T^E| holds by construction; sanity accessor for tests."""
-        return self.core_size >= 0
-
 
 def explanation_from_functions(
     problem: Problem,
@@ -55,31 +57,35 @@ def explanation_from_functions(
     seed: int = 0,
 ) -> Explanation:
     """Prop. 3.6: build the (unique up to interchangeable duplicates)
-    maximal valid explanation for the given attribute functions."""
+    maximal valid explanation for the given attribute functions. ``seed``
+    orders the records within each group of identical full tuples."""
     if len(functions) != problem.n_attrs:
         raise ValueError("need one function per attribute")
     # The full-tuple key is the block key of the end state F.
     end = SearchState(tuple(functions))
-    s = with_block_key(problem.source, end, problem.attrs, is_source=True)
-    t = with_block_key(problem.target, end, problem.attrs, is_source=False)
-    sw = Window.partitionBy(BK).orderBy(F.rand(seed))
-    tw = Window.partitionBy(BK).orderBy(F.rand(seed + 1))
-    s_ranked = s.select(
-        F.col(RID).alias("s_rid"), BK
-    ).withColumn("__rn", F.row_number().over(sw))
-    t_ranked = t.select(
-        F.col(RID).alias("t_rid"), BK
-    ).withColumn("__rn", F.row_number().over(tw))
-    pairs = s_ranked.join(t_ranked, [BK, "__rn"]).select("s_rid", "t_rid")
-    pairs = pairs.cache()
-    core = pairs.count()
+    keyed = [
+        with_block_key(df, end, problem.attrs, is_source=side == 0).select(
+            F.lit(side).alias("side"), RID, BK
+        )
+        for side, df in ((0, problem.source), (1, problem.target))
+    ]
+    rows = keyed[0].unionByName(keyed[1]).toPandas()
+    rows = rows.sort_values(["side", RID], ignore_index=True)
+    rows["u"] = np.random.default_rng(seed).random(len(rows))
+    rows["rn"] = rows.groupby(["side", BK])["u"].rank(method="first")
+    s, t = (
+        rows.loc[rows["side"] == side, [RID, BK, "rn"]].rename(columns={RID: rid})
+        for side, rid in ((0, "s_rid"), (1, "t_rid"))
+    )
+    pairs = s.merge(t, on=[BK, "rn"])[["s_rid", "t_rid"]]
+    core = len(pairs)
     return Explanation(
         functions=tuple(functions),
         n_attrs=problem.n_attrs,
         core_size=core,
         n_deleted=problem.n_source - core,
         n_inserted=problem.n_target - core,
-        core_pairs=pairs,
+        core_pairs=problem.spark.createDataFrame(pairs, "s_rid bigint, t_rid bigint"),
     )
 
 

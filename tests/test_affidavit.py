@@ -60,7 +60,19 @@ def test_running_example_diagnostics(i1_result):
     assert diag.polls >= 1
     assert diag.start_states == 7  # one per attribute for H^id
     # the driver-memory bound: (|S| + |T|) x |undecided| histogram rows
-    assert 0 < diag.max_hist_rows <= (17 + 16) * 7
+    assert 0 < max(diag.hist_rows) <= (17 + 16) * 7
+
+
+def _cache_is_empty(spark) -> bool:
+    return spark._jsparkSession.sharedState().cacheManager().isEmpty()
+
+
+def test_running_example_conversion_agrees_with_end_state(spark, i1_result):
+    """Prop. 3.6 and Def. 4.6 agree: an end state's M(H) is its core size.
+    The search leaves nothing cached."""
+    expl, diag = i1_result
+    assert expl.core_size == diag.end_state.overlap
+    assert _cache_is_empty(spark)
 
 
 def _jobs_in_group(sc, group: str) -> int:
@@ -93,7 +105,8 @@ def test_fig1_hs_end_state_independent_of_shuffle_partitions(spark, i1):
         for n in (1, 8):
             spark.conf.set("spark.sql.shuffle.partitions", str(n))
             expl, diag = run_affidavit(i1, cfg)
-            expl.core_pairs.unpersist()
+            assert expl.core_size == diag.end_state.overlap
+            assert _cache_is_empty(spark)
             ends.append((diag.end_state.assignments, diag.end_state.cost))
     finally:
         spark.conf.set("spark.sql.shuffle.partitions", old)

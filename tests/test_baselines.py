@@ -104,11 +104,3 @@ def test_ignores_hidden_columns(spark):
     d = keyed_diff(s, t, key_attrs=["pk"])
     assert "__rid" not in d.inserted.columns
 
-
-def test_trivial_cost_helper(spark):
-    from repro.baselines import trivial_cost, trivial_explanation
-    from .util import make_problem
-
-    p = make_problem(spark, ["a"], [("x",)] * 3, [("y",)] * 4)
-    assert trivial_cost(p, 0.5) == 1 * 4
-    assert trivial_explanation(p).cost(0.5) == trivial_cost(p, 0.5)

@@ -14,6 +14,7 @@ from repro.core.functions import (
     Scale,
     ValueMapping,
 )
+from repro.core.state import RID, Problem
 from repro.bench.running_example import (
     ATTRS,
     E1_CORE_SIZE,
@@ -121,6 +122,33 @@ def test_core_pairs_are_one_to_one(i1):
     pdf = e.core_pairs.toPandas()
     assert pdf["s_rid"].is_unique and pdf["t_rid"].is_unique
     assert len(pdf) == e.core_size
+
+
+def test_core_pairs_independent_of_shuffle_partitions(spark):
+    """For one seed the bijection among duplicate tuples is the same at any
+    partitioning of the snapshots."""
+    src = [("x",)] * 6 + [("y",)] * 4 + [("z",)] * 2
+    tgt = [("x",)] * 5 + [("y",)] * 5 + [("w",)]
+    p = make_problem(spark, ["a"], src, tgt)
+    p = Problem(spark, p.source.repartition(RID), p.target.repartition(RID), p.attrs)
+    old = spark.conf.get("spark.sql.shuffle.partitions")
+    pairs = []
+    try:
+        for n in (1, 8):
+            spark.conf.set("spark.sql.shuffle.partitions", str(n))
+            e = explanation_from_functions(p, (Identity(),), seed=3)
+            pairs.append({(r["s_rid"], r["t_rid"]) for r in e.core_pairs.collect()})
+    finally:
+        spark.conf.set("spark.sql.shuffle.partitions", old)
+    assert len(pairs[0]) == 9
+    assert pairs[0] == pairs[1]
+
+
+def test_empty_core_has_pair_columns(spark):
+    p = make_problem(spark, ["a"], [("x",)], [("y",)])
+    e = explanation_from_functions(p, (Identity(),))
+    assert e.core_size == 0
+    assert e.core_pairs.columns == ["s_rid", "t_rid"] and e.core_pairs.count() == 0
 
 
 def test_validity_identity(i1):
