@@ -46,7 +46,7 @@ from ..core.functions import (
     format_number,
     parse_number,
 )
-from ..core.state import RID, Problem
+from ..core.state import RID, Problem, explanation_cost
 
 __all__ = ["ProblemInstance", "make_instance", "stringify"]
 
@@ -68,9 +68,8 @@ class ProblemInstance:
     transformed_attrs: tuple[str, ...] = ()
 
     def ref_cost(self, alpha: float = 0.5) -> float:
-        lf = sum(f.psi for f in self.ref_functions)
-        lt = self.problem.n_attrs * self.ref_n_inserted
-        return 2 * alpha * lt + 2 * (1 - alpha) * lf
+        psi = sum(f.psi for f in self.ref_functions)
+        return explanation_cost(self.problem.n_attrs, self.ref_n_inserted, psi, alpha)
 
 
 def stringify(pdf: pd.DataFrame) -> pd.DataFrame:

@@ -1,9 +1,7 @@
-"""SparkSession builder for the spark-submit job entrypoints.
-
-Tests use the ``spark`` fixture from conftest.py (do not build sessions in
-tests); jobs run standalone and need an equivalent session: local master,
-broadcast joins disabled, Arrow on, console progress off (the Table 2 grid
-runs many concurrent tiny jobs whose progress bars would interleave).
+"""The one SparkSession builder: jobs, perfbench and the tests' ``spark``
+fixture (conftest.py) all run on it. Local master, broadcast joins
+disabled, Arrow on, console progress off (the Table 2 grid runs many
+concurrent tiny jobs whose progress bars would interleave).
 """
 from __future__ import annotations
 

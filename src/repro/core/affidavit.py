@@ -68,13 +68,14 @@ class AffidavitConfig:
     max_block_size: int = 100_000
     seed: int = 0
     max_polls: int = 1000
-    max_block_rows: int = 50
-    max_candidates: int = 24
-    base_support: int = 5
 
 
 @dataclass
 class SearchDiagnostics:
+    """What one search did. ``end_state`` is the polled end state the
+    explanation is built from; None means no end state was polled (``max_polls``
+    ran out, or the queue emptied) and the trivial explanation was returned."""
+
     polls: int = 0
     generated: int = 0
     runtime_s: float = 0.0
@@ -90,9 +91,7 @@ class _Search:
     def __init__(self, problem: Problem, config: AffidavitConfig):
         self.p = problem
         self.cfg = config
-        self.k = sample_size_for_support(
-            config.theta, config.confidence, config.base_support
-        )
+        self.k = sample_size_for_support(config.theta, config.confidence)
         self.diag = SearchDiagnostics()
         self._seed_ctr = 0
 
@@ -154,19 +153,8 @@ class _Search:
         ind = indeterminacy(src, tgt, und_names)
         ordered = sorted(und, key=lambda i: (ind[attrs[i]], i))
         greedy = greedy_maps_bulk(src, tgt, und_names, seed=self._seed())
-        sample = sample_examples(
-            src,
-            tgt,
-            und_names,
-            k=self.k,
-            seed=self._seed(),
-            max_block_rows=self.cfg.max_block_rows,
-        )
-        support = scaled_support(
-            min(len(sample.targets), sample.population),
-            self.k,
-            self.cfg.base_support,
-        )
+        sample = sample_examples(src, tgt, und_names, k=self.k, seed=self._seed())
+        support = scaled_support(min(len(sample.targets), sample.population), self.k)
 
         def extend(i: int) -> list[SearchState]:
             return self._extend_attr(h, i, src, tgt, greedy[attrs[i]], sample, support)
@@ -200,13 +188,7 @@ class _Search:
         """The (at most beta) cheapest extensions of ``h`` on attribute i by
         an induced candidate that beats the greedy map ``g``."""
         cands = [
-            f
-            for f, _ in induce_attr_candidates(
-                sample,
-                self.p.attrs[i],
-                min_support=support,
-                max_candidates=self.cfg.max_candidates,
-            )
+            f for f, _ in induce_attr_candidates(sample, self.p.attrs[i], min_support=support)
         ]
         g_m, *ms = evaluate_pairs(self.p, src, tgt, [(i, f) for f in [g, *cands]])
         g_cost = self._cost(h.cf() + g.psi, g_m)

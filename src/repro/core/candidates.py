@@ -2,10 +2,11 @@
 
 Affidavit samples k target records from *mixed* blocks (blocks containing
 both source and target records), where k is the smallest sample size for
-which a function visible in a theta-fraction of targets is generated >= 5
-times with confidence rho (``stats.sample_size_for_support``). For every
-sampled target record and attribute, candidate functions are induced from
-each source value in the same block; a candidate's *support* is the number
+which a function visible in a theta-fraction of targets is generated at
+least ``stats.MIN_SUPPORT`` times with confidence rho
+(``stats.sample_size_for_support``). For every sampled target record and
+attribute, candidate functions are induced from each source value in the
+same block; a candidate's *support* is the number
 of distinct sampled targets that generated it. Candidates below the
 (proportionally scaled) support threshold are filtered out.
 
@@ -30,6 +31,7 @@ import pandas as pd
 
 from .blocking import BK, Histogram, block_rows, mixed_blocks
 from .functions import TransformFunction, induce_candidates
+from .stats import MIN_SUPPORT
 
 __all__ = [
     "ExampleSample",
@@ -99,12 +101,12 @@ def sample_examples(
     return ExampleSample(targets, block_vals, pop)
 
 
-def scaled_support(n_sampled: int, k: int, base_support: int = 5) -> int:
-    """Support threshold, scaled down proportionally when fewer than k
-    targets exist (DESIGN.md note 3)."""
+def scaled_support(n_sampled: int, k: int) -> int:
+    """Support threshold, ``MIN_SUPPORT`` scaled down proportionally when
+    fewer than k targets exist (DESIGN.md note 3)."""
     if n_sampled >= k:
-        return base_support
-    return max(2, math.ceil(base_support * n_sampled / max(1, k)))
+        return MIN_SUPPORT
+    return max(2, math.ceil(MIN_SUPPORT * n_sampled / max(1, k)))
 
 
 def induce_attr_candidates(

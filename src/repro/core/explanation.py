@@ -13,7 +13,8 @@ the bijection is drawn on the driver from rows sorted by ``__rid``, so a
 seed gives the same pairs at any partitioning. The pairs come back as a
 local, uncached DataFrame: callers have nothing to release.
 
-Costs (Def. 3.10): c(E) = 2*alpha*|A|*|T^E+| + 2*(1-alpha)*sum_a psi(f_a).
+Costs (Def. 3.10, ``state.explanation_cost``): c(E) = 2*alpha*|A|*|T^E+| +
+2*(1-alpha)*sum_a psi(f_a).
 The trivial explanation E_empty (everything deleted+inserted, identity
 functions) costs 2*alpha*|A|*|T| and upper-bounds every search result.
 """
@@ -27,7 +28,7 @@ from pyspark.sql import functions as F
 
 from .blocking import BK, with_block_key
 from .functions import Identity, TransformFunction
-from .state import RID, Problem, SearchState
+from .state import RID, Problem, SearchState, explanation_cost
 
 __all__ = ["Explanation", "explanation_from_functions", "trivial_explanation"]
 
@@ -45,9 +46,8 @@ class Explanation:
     core_pairs: DataFrame | None = None  # columns: s_rid, t_rid
 
     def cost(self, alpha: float = 0.5) -> float:
-        lf = sum(f.psi for f in self.functions)
-        lt = self.n_attrs * self.n_inserted
-        return 2 * alpha * lt + 2 * (1 - alpha) * lf
+        psi = sum(f.psi for f in self.functions)
+        return explanation_cost(self.n_attrs, self.n_inserted, psi, alpha)
 
 
 def explanation_from_functions(

@@ -123,9 +123,14 @@ class SearchState:
         )
 
 
+def explanation_cost(n_attrs: int, n_inserted: int, psi: int, alpha: float) -> float:
+    """Def. 3.10: c(E) = 2*(1-alpha)*sum_a psi(f_a) + 2*alpha*|A|*|T^E+|."""
+    return 2 * (1 - alpha) * psi + 2 * alpha * n_attrs * n_inserted
+
+
 def state_cost(
     problem: Problem, cf: int, overlap: int, alpha: float
 ) -> float:
-    """c(H) as documented in the module docstring."""
-    ct = problem.n_target - overlap
-    return 2 * (1 - alpha) * cf + 2 * alpha * problem.n_attrs * ct
+    """c(H) as documented in the module docstring: Def. 3.10 with ct(H)
+    in place of |T^E+|."""
+    return explanation_cost(problem.n_attrs, problem.n_target - overlap, cf, alpha)

@@ -102,7 +102,7 @@ def test_fig1_hs_end_state_independent_of_shuffle_partitions(spark, i1):
     old = spark.conf.get("spark.sql.shuffle.partitions")
     ends = []
     try:
-        for n in (1, 8):
+        for n in (1, 8, 64):
             spark.conf.set("spark.sql.shuffle.partitions", str(n))
             expl, diag = run_affidavit(i1, cfg)
             assert expl.core_size == diag.end_state.overlap
@@ -110,7 +110,18 @@ def test_fig1_hs_end_state_independent_of_shuffle_partitions(spark, i1):
             ends.append((diag.end_state.assignments, diag.end_state.cost))
     finally:
         spark.conf.set("spark.sql.shuffle.partitions", old)
-    assert ends[0] == ends[1]
+    assert ends[0] == ends[1] == ends[2]
+
+
+def test_max_polls_exhausted_returns_trivial_explanation(i1):
+    """With no end state polled within ``max_polls`` the search falls back
+    to the trivial explanation (|A|*|T| at alpha 0.5) and ``end_state``
+    stays None."""
+    cfg = AffidavitConfig(start="id", beta=2, queue_width=5, seed=1, max_polls=1)
+    expl, diag = run_affidavit(i1, cfg)
+    assert diag.polls == 1 and diag.end_state is None
+    assert expl.core_size == 0 and expl.core_pairs is None
+    assert expl.cost(0.5) == i1.n_attrs * i1.n_target == 112
 
 
 def test_identical_snapshots_identity_solution(spark):

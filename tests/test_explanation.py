@@ -134,14 +134,14 @@ def test_core_pairs_independent_of_shuffle_partitions(spark):
     old = spark.conf.get("spark.sql.shuffle.partitions")
     pairs = []
     try:
-        for n in (1, 8):
+        for n in (1, 8, 64):
             spark.conf.set("spark.sql.shuffle.partitions", str(n))
             e = explanation_from_functions(p, (Identity(),), seed=3)
             pairs.append({(r["s_rid"], r["t_rid"]) for r in e.core_pairs.collect()})
     finally:
         spark.conf.set("spark.sql.shuffle.partitions", old)
     assert len(pairs[0]) == 9
-    assert pairs[0] == pairs[1]
+    assert pairs[0] == pairs[1] == pairs[2]
 
 
 def test_empty_core_has_pair_columns(spark):

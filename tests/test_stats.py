@@ -22,7 +22,7 @@ def test_sf_monotone_in_k():
 
 def test_sample_size_paper_defaults():
     """theta=0.1, rho=0.95, support 5 => k = 89 (P(X>=5) crosses 0.95)."""
-    k = sample_size_for_support(0.1, 0.95, 5)
+    k = sample_size_for_support(0.1, 0.95)
     assert binom_sf(k, 5, 0.1) >= 0.95
     assert binom_sf(k - 1, 5, 0.1) < 0.95
     assert k == 89

@@ -52,16 +52,18 @@ def test_scaled_block_threshold():
     assert scaled_block_threshold("chess") < 2000
 
 
-def test_run_cell_smoke(spark):
+@pytest.mark.parametrize("config", CONFIG_NAMES)
+def test_run_cell_smoke(spark, config):
     row = run_cell(
-        spark, "iris", (0.3, 0.3), "Hs", n_instances=1, seed=5, n_rows=120
+        spark, "iris", (0.3, 0.3), config, n_instances=1, seed=5, n_rows=120
     )
-    assert row.dataset == "iris" and row.config == "Hs"
+    assert row.dataset == "iris" and row.config == config
     assert row.measured.t > 0
+    assert row.measured.dcosts > 0
     assert 0 <= row.measured.acc <= 1
-    assert row.paper == PAPER["iris"]["Hs"][(0.3, 0.3)]
+    assert row.paper == PAPER["iris"][config][(0.3, 0.3)]
     text = format_rows([row])
-    assert "iris" in text and "Hs" in text
+    assert "iris" in text and config in text
     md = format_rows([row], markdown=True)
     assert md.startswith("| dataset")
 
